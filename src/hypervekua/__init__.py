@@ -25,7 +25,7 @@ from .pseudoanalytic import (CharCoefficients, GeneratingPair,
                              classical_pair, decompose, fg_derivative,
                              fg_integral, higher_derivative, is_successor,
                              vekua_residual)
-from .quadrature import Polyline, integrate, path_integral
+from .quadrature import Polyline, path_integral
 from .zakharov_shabat import (ModeField, Potential, RecursiveIntegrals,
                               SpectralState, W_to_modes, antiderivative_S,
                               closed_form_power, modes_to_W, parse_potential,
@@ -49,7 +49,7 @@ __all__ = [
     "formal_power_batch", "formal_power_field", "formal_power_grid",
     "from_idempotent",
     "higher_derivative", "hyper", "hyperbolic_derivative", "identity_field",
-    "integrate", "inverse", "is_successor", "l_path_power", "load_field_csv",
+    "inverse", "is_successor", "l_path_power", "load_field_csv",
     "load_field_json", "modes_to_W", "monomial_field", "mul",
     "parse_potential", "path_integral", "recombine_mode_residuals",
     "recursive_integrals", "save_field_csv", "save_field_json",

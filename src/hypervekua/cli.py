@@ -64,37 +64,37 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
         dom_raw = raw.get("domain", {})
+        if not isinstance(dom_raw, dict):
+            raise ConfigError("domain must be a JSON object")
         try:
             domain = GridDomain(
-                float(dom_raw.get("x_min", -1.0)),
-                float(dom_raw.get("x_max", 1.0)),
-                float(dom_raw.get("t_min", -1.0)),
-                float(dom_raw.get("t_max", 1.0)),
-                int(dom_raw.get("nx", 21)),
-                int(dom_raw.get("nt", 21)),
+                _finite(dom_raw.get("x_min", -1.0)),
+                _finite(dom_raw.get("x_max", 1.0)),
+                _finite(dom_raw.get("t_min", -1.0)),
+                _finite(dom_raw.get("t_max", 1.0)),
+                _integer(dom_raw.get("nx", 21)),
+                _integer(dom_raw.get("nt", 21)),
                 bool(dom_raw.get("timelike", False)),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad domain: {exc}") from exc
-        center = HyperbolicNumber(*map(float, raw.get("center", [0.0, 0.0])))
+        center = HyperbolicNumber(*_field(raw, "center", [0.0, 0.0], _pair))
         coefficient = HyperbolicNumber(
-            *map(float, raw.get("coefficient", [1.0, 0.0])))
-        exponents = raw.get("exponents", [0, 1, 2])
-        if isinstance(exponents, int):
-            exponents = list(range(exponents + 1))
-        exponents = [int(n) for n in exponents]
+            *_field(raw, "coefficient", [1.0, 0.0], _pair))
+        exponents = _field(raw, "exponents", [0, 1, 2], _exponents)
         if any(n < 0 for n in exponents):
             raise ConfigError("exponents must be nonnegative")
         tolerances = dict(DEFAULT_TOLERANCES)
-        for key, val in raw.get("tolerances", {}).items():
-            tolerances[key] = float(val)
+        tolerances.update(_field(raw, "tolerances", {}, lambda v: {
+            key: _finite(val) for key, val in v.items()}))
         if any(v <= 0 for v in tolerances.values()):
             raise ConfigError("tolerances must be positive")
-        k_values = [float(k) for k in raw.get("k_values", [])]
-        init = raw.get("init", [1.0, 0.0])
-        init = (complex(init[0]), complex(init[1]))
+        k_values = _field(raw, "k_values", [],
+                          lambda v: [_finite(k) for k in _sequence(v)])
+        init = _field(raw, "init", [1.0, 0.0],
+                      lambda v: tuple(complex(c) for c in _sequence(v, 2)))
         if "x_range" in raw:
-            lo, hi = map(float, raw["x_range"])
+            lo, hi = _field(raw, "x_range", None, _pair)
         else:
             lo = min(domain.x_min, center.re) - 0.5
             hi = max(domain.x_max, center.re) + 0.5
@@ -106,15 +106,57 @@ class RunConfig:
             center=center,
             coefficient=coefficient,
             exponents=exponents,
-            sequence_index=int(raw.get("sequence_index", 0)),
+            sequence_index=_field(raw, "sequence_index", 0, _integer),
             k_values=k_values,
             init=init,
             x_range=(lo, hi),
             tolerances=tolerances,
             out_dir=str(raw.get("out_dir", "hypervekua_out")),
-            threads=int(raw.get("threads", 1)),
+            threads=_field(raw, "threads", 1, _integer),
             raw=raw,
         )
+
+
+def _field(raw: dict, key: str, default, convert):
+    """raw[key], or the default when absent, passed through convert.
+
+    A value convert rejects becomes a ConfigError that names the key.
+    """
+    try:
+        return convert(raw.get(key, default))
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+
+
+def _finite(value) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{value!r} is not a finite number")
+    return out
+
+
+def _integer(value) -> int:
+    if float(value) != int(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _sequence(value, length=None) -> list:
+    if not isinstance(value, (list, tuple)) or (
+            length is not None and len(value) != length):
+        raise ValueError(f"expected a list of {length or 'any number of'} "
+                         f"values, got {value!r}")
+    return value
+
+
+def _pair(value) -> tuple:
+    return tuple(_finite(v) for v in _sequence(value, 2))
+
+
+def _exponents(value) -> list:
+    if isinstance(value, int):
+        return list(range(value + 1))
+    return [_integer(n) for n in _sequence(value)]
 
 
 def _build_potential(cfg: RunConfig) -> Potential:

@@ -30,7 +30,7 @@ class NotHyperbolicAnalytic(HyperVekuaError):
 
 
 class NoConvergence(HyperVekuaError):
-    """Adaptive quadrature exceeded its subdivision budget."""
+    """Panel doubling hit its limit before two quadrature sweeps agreed."""
 
     code = "NO_CONVERGENCE"
 

@@ -16,15 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneratePair, DepthExceeded, NoConvergence
+from .errors import DegeneratePair, DepthExceeded
 from .fields import GridDomain, HyperField
 from .hypernum import HyperbolicNumber, hyper
 from .pseudoanalytic import GeneratingPair, GeneratingSequence
-from .quadrature import MAX_PANEL_DOUBLINGS, Polyline, _gauss_rule
+from .quadrature import (DEFAULT_GAUSS_ORDER, DEFAULT_TOL, PathGrid, Polyline,
+                         refine)
 
-DEFAULT_TOL = 1e-10
 DEFAULT_MAX_EXPONENT = 8
-DEFAULT_GAUSS_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -58,49 +57,8 @@ def z0_coefficients(a, z0, pair: GeneratingPair) -> tuple:
     return lam, mu
 
 
-class _BatchedPathGrid:
-    """Gauss-Legendre ladder nodes for many polylines with shared topology.
-
-    Vertices come as arrays of shape (T, S+1) per coordinate: T paths, each
-    with S straight segments.  All paths share panel count and order, so the
-    prefix-integration algebra runs as whole-array numpy operations.
-    """
-
-    def __init__(self, verts_x: np.ndarray, verts_t: np.ndarray,
-                 panels: int, order: int):
-        nodes, weights, K = _gauss_rule(order)
-        T, nverts = verts_x.shape
-        S = nverts - 1
-        self.shape = (T, S, panels, order)
-        u_panel = (np.arange(panels)[:, None]
-                   + (nodes[None, :] + 1.0) * 0.5) / panels  # (P, q) in [0, 1]
-        ax = verts_x[:, :-1]
-        bx = verts_x[:, 1:]
-        at = verts_t[:, :-1]
-        bt = verts_t[:, 1:]
-        self.dzx = bx - ax  # (T, S)
-        self.dzt = bt - at
-        self.xs = ax[:, :, None, None] + self.dzx[:, :, None, None] * u_panel
-        self.ts = at[:, :, None, None] + self.dzt[:, :, None, None] * u_panel
-        self.weights = weights
-        self.K = K
-        self.panel_scale = 0.5 / panels
-
-    def prefix_re(self, vre: np.ndarray, vim: np.ndarray):
-        """Prefix values of Re(v dz) from each path start.
-
-        Inputs have the grid shape (T, S, P, q).  Returns (cum, total) with
-        cum of the same shape and total of shape (T,).
-        """
-        f = vre * self.dzx[:, :, None, None] + vim * self.dzt[:, :, None, None]
-        panel_full = self.panel_scale * (f @ self.weights)          # (T, S, P)
-        partial = self.panel_scale * (f @ self.K.T)                 # (T, S, P, q)
-        panel_before = np.cumsum(panel_full, axis=2) - panel_full   # exclusive
-        seg_tot = panel_full.sum(axis=2)                            # (T, S)
-        seg_before = np.cumsum(seg_tot, axis=1) - seg_tot
-        cum = (seg_before[:, :, None, None]
-               + panel_before[:, :, :, None] + partial)
-        return cum, seg_tot.sum(axis=1)
+# bench/tracer.py patches the ladder's prefix_re under this name
+_BatchedPathGrid = PathGrid
 
 
 def _pair_node_values(pair: GeneratingPair, xs, ts, cache: dict):
@@ -135,7 +93,7 @@ def _ladder_sweep(seq: GeneratingSequence, m: int, n: int, lam: float,
 
     Returns endpoint values of Z_m^(n) as (re, im) arrays of shape (T,).
     """
-    grid = _BatchedPathGrid(verts_x, verts_t, panels, order)
+    grid = PathGrid(verts_x, verts_t, panels, order)
     xs = grid.xs
     ts = grid.ts
     cache: dict = {}
@@ -176,19 +134,16 @@ def _evaluate_batch(spec: FormalPowerSpec, seq: GeneratingSequence,
         np.sum(np.hypot(np.diff(verts_x, axis=1), np.diff(verts_t, axis=1)),
                axis=1))
     panels = max(2, int(np.ceil(length / 0.5)))
-    prev = _ladder_sweep(seq, spec.m, spec.n, lam, mu, verts_x, verts_t,
-                         panels, order)
-    for _ in range(MAX_PANEL_DOUBLINGS):
-        panels *= 2
-        cur = _ladder_sweep(seq, spec.m, spec.n, lam, mu, verts_x, verts_t,
-                            panels, order)
-        gap = max(np.max(np.abs(cur[0] - prev[0])),
-                  np.max(np.abs(cur[1] - prev[1])))
-        if gap <= tol:
-            return cur
-        prev = cur
-    raise NoConvergence(
-        f"formal power ladder did not stabilize (last delta {gap:.3e})")
+    return refine(
+        lambda panels: _ladder_sweep(seq, spec.m, spec.n, lam, mu, verts_x,
+                                     verts_t, panels, order),
+        panels, tol, "formal power ladder")
+
+
+def _check_depth(n: int, max_exponent: int) -> None:
+    if n > max_exponent:
+        raise DepthExceeded(
+            f"exponent {n} beyond configured maximum {max_exponent}")
 
 
 def formal_power(spec: FormalPowerSpec, z, seq: GeneratingSequence, *,
@@ -203,9 +158,7 @@ def formal_power(spec: FormalPowerSpec, z, seq: GeneratingSequence, *,
     Panels are doubled until two ladder sweeps agree within tol.
     """
     z = hyper(z)
-    if spec.n > max_exponent:
-        raise DepthExceeded(
-            f"exponent {spec.n} beyond configured maximum {max_exponent}")
+    _check_depth(spec.n, max_exponent)
     if spec.n == 0:
         pair = seq.pair(spec.m)
         lam, mu = z0_coefficients(spec.a, spec.z0, pair)
@@ -256,6 +209,7 @@ def formal_power_batch(spec: FormalPowerSpec, seq: GeneratingSequence,
     the center come out exactly: the zero-length ladder integrates to 0 for
     n >= 1 and to the coefficient a for n = 0.
     """
+    _check_depth(spec.n, DEFAULT_MAX_EXPONENT)
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     if spec.n == 0:

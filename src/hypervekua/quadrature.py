@@ -1,66 +1,28 @@
-"""One-dimensional adaptive integration and polyline path integrals.
+"""Polyline paths and the one Gauss-Legendre prefix ladder.
 
-Scalar integrals use adaptive Simpson with Richardson correction.  Path
-integrals of hyperbolic fields use per-segment Gauss-Legendre panels with
-dyadic refinement.  The module also provides the prefix-integration ladder
-(values of cumulative integrals at every quadrature node) that the
-formal-power recursion is built on.
+Every integral in the package is a prefix integral along straight
+segments: each formal-power level integrates the previous one, the X/Y/I
+family behind the closed forms iterates against cos 2S and sin 2S, S is
+the integral of s, and path integrals of fields are ladder totals.
+`PathGrid` holds the Gauss-Legendre nodes of a batch of polylines and
+returns prefix integrals at every node; `refine` doubles its panel count
+until two sweeps agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NoConvergence
+from .fields import HyperField
 from .hypernum import HyperbolicNumber, hyper
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_DEPTH = 40
 DEFAULT_GAUSS_ORDER = 8
 MAX_PANEL_DOUBLINGS = 10
-
-
-def integrate(f: Callable[[float], float], x0: float, x1: float,
-              tol: float = DEFAULT_TOL, max_depth: int = DEFAULT_MAX_DEPTH) -> float:
-    """Adaptive Simpson integral of a real function over [x0, x1].
-
-    Antisymmetric under swapping the limits.  Raises NoConvergence when the
-    recursive subdivision exceeds max_depth before meeting tol.
-    """
-    if x0 == x1:
-        return 0.0
-    if x1 < x0:
-        return -integrate(f, x1, x0, tol=tol, max_depth=max_depth)
-
-    def simpson(fa, fm, fb, width):
-        return width / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, depth, tol):
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= tol:
-            return left + right + err
-        if depth >= max_depth:
-            raise NoConvergence(
-                f"adaptive Simpson exceeded depth {max_depth} on "
-                f"[{a:g}, {b:g}] (err {abs(err):.3e} > tol {tol:.3e})"
-            )
-        return (recurse(a, m, fa, flm, fm, left, depth + 1, 0.5 * tol)
-                + recurse(m, b, fm, frm, fb, right, depth + 1, 0.5 * tol))
-
-    fa, fb = f(x0), f(x1)
-    fm = f(0.5 * (x0 + x1))
-    whole = simpson(fa, fm, fb, x1 - x0)
-    return recurse(x0, x1, fa, fm, fb, whole, 0, tol)
 
 
 # ----------------------------------------------------------------------
@@ -176,86 +138,76 @@ def _gauss_rule(order: int):
 
 
 class PathGrid:
-    """Shared quadrature ladder along a polyline.
+    """Gauss-Legendre ladder nodes for many polylines with shared topology.
 
-    Holds Gauss-Legendre nodes for every panel of every segment together
-    with the matrices needed to evaluate prefix integrals (from the path
-    start up to each node) of any integrand sampled on those nodes.
+    Vertices come as arrays of shape (T, S+1) per coordinate: T paths, each
+    with S straight segments.  All paths share panel count and order, so the
+    prefix-integration algebra runs as whole-array numpy operations.  Node
+    coordinates `xs`, `ts` have the grid shape (T, S, P, q).
     """
 
-    def __init__(self, path: Polyline, panels_per_segment: int,
-                 order: int = DEFAULT_GAUSS_ORDER):
+    def __init__(self, verts_x: np.ndarray, verts_t: np.ndarray,
+                 panels: int, order: int = DEFAULT_GAUSS_ORDER):
         nodes, weights, K = _gauss_rule(order)
-        self.order = order
-        self.panels = panels_per_segment
-        self.path = path
-        segs = list(zip(path.vertices[:-1], path.vertices[1:]))
-        self.n_segments = len(segs)
-        P = panels_per_segment
-        xs = []
-        ts = []
-        dz_list = []
-        for a, b in segs:
-            # panel p covers u in [p/P, (p+1)/P] of the segment parameter
-            u_bounds = np.linspace(0.0, 1.0, P + 1)
-            u_nodes = (u_bounds[:-1, None]
-                       + (nodes[None, :] + 1.0) * 0.5 * (1.0 / P))
-            xs.append(a.re + (b.re - a.re) * u_nodes)
-            ts.append(a.im + (b.im - a.im) * u_nodes)
-            dz_list.append(HyperbolicNumber(b.re - a.re, b.im - a.im))
-        # shapes: (n_segments, P, order)
-        self.xs = np.stack(xs)
-        self.ts = np.stack(ts)
-        self.dz = dz_list
+        u_panel = (np.arange(panels)[:, None]
+                   + (nodes[None, :] + 1.0) * 0.5) / panels  # (P, q) in [0, 1]
+        ax = verts_x[:, :-1]
+        bx = verts_x[:, 1:]
+        at = verts_t[:, :-1]
+        bt = verts_t[:, 1:]
+        self.dzx = bx - ax  # (T, S)
+        self.dzt = bt - at
+        self.xs = ax[:, :, None, None] + self.dzx[:, :, None, None] * u_panel
+        self.ts = at[:, :, None, None] + self.dzt[:, :, None, None] * u_panel
         self.weights = weights
         self.K = K
-        self.panel_scale = 0.5 / P  # du/dxi within one panel
+        self.panel_scale = 0.5 / panels
 
-    @property
-    def flat_x(self):
-        return self.xs.ravel()
+    @classmethod
+    def along(cls, path: Polyline, panels: int,
+              order: int = DEFAULT_GAUSS_ORDER) -> "PathGrid":
+        """The T = 1 grid of one polyline."""
+        verts_x = np.array([[v.re for v in path.vertices]])
+        verts_t = np.array([[v.im for v in path.vertices]])
+        return cls(verts_x, verts_t, panels, order)
 
-    @property
-    def flat_t(self):
-        return self.ts.ravel()
+    def prefix_re(self, vre, vim):
+        """Prefix values of Re(v dz) from each path start.
 
-    def prefix_re(self, vre: np.ndarray, vim: np.ndarray):
-        """Prefix values of Re(v dz) from the path start.
-
-        vre, vim hold the integrand components at every node (flat, in path
-        order).  Returns (node_prefix, total): node_prefix[i] is the integral
-        from the start up to node i, total is the full-path integral.
+        Inputs have the grid shape (T, S, P, q) (vim may be a scalar).
+        Returns (cum, total) with cum of the same shape and total of
+        shape (T,).
         """
-        S, P, q = self.n_segments, self.panels, self.order
-        vre = vre.reshape(S, P, q)
-        vim = vim.reshape(S, P, q)
-        total = 0.0
-        out = np.empty((S, P, q))
-        for s in range(S):
-            dz = self.dz[s]
-            # Re[(vr + j vi)(dx + j dt)] = vr dx + vi dt per unit du
-            f = vre[s] * dz.re + vim[s] * dz.im
-            panel_full = self.panel_scale * (f @ self.weights)
-            prefix = np.concatenate(([0.0], np.cumsum(panel_full)[:-1]))
-            partial = self.panel_scale * (f @ self.K.T)
-            out[s] = total + prefix[:, None] + partial
-            total += panel_full.sum()
-        return out.reshape(-1), total
+        f = vre * self.dzx[:, :, None, None] + vim * self.dzt[:, :, None, None]
+        panel_full = self.panel_scale * (f @ self.weights)          # (T, S, P)
+        partial = self.panel_scale * (f @ self.K.T)                 # (T, S, P, q)
+        panel_before = np.cumsum(panel_full, axis=2) - panel_full   # exclusive
+        seg_tot = panel_full.sum(axis=2)                            # (T, S)
+        seg_before = np.cumsum(seg_tot, axis=1) - seg_tot
+        cum = (seg_before[:, :, None, None]
+               + panel_before[:, :, :, None] + partial)
+        return cum, seg_tot.sum(axis=1)
 
-    def integrate_values(self, vre: np.ndarray, vim: np.ndarray) -> HyperbolicNumber:
-        """Full-path integral of (v dz) as a hyperbolic number."""
-        S, P, q = self.n_segments, self.panels, self.order
-        vre = vre.reshape(S, P, q)
-        vim = vim.reshape(S, P, q)
-        total_re = 0.0
-        total_im = 0.0
-        for s in range(S):
-            dz = self.dz[s]
-            fre = vre[s] * dz.re + vim[s] * dz.im
-            fim = vre[s] * dz.im + vim[s] * dz.re
-            total_re += self.panel_scale * float((fre @ self.weights).sum())
-            total_im += self.panel_scale * float((fim @ self.weights).sum())
-        return HyperbolicNumber(total_re, total_im)
+
+def refine(sweep, panels: int, tol: float, what: str):
+    """Double the panel count until two sweeps agree within tol.
+
+    sweep(panels) returns an array, or a tuple of equal-shape arrays; the
+    gap is the largest absolute change of any entry.  Returns the finer of
+    the two agreeing sweeps and raises NoConvergence after
+    MAX_PANEL_DOUBLINGS doublings.
+    """
+    prev = sweep(panels)
+    for _ in range(MAX_PANEL_DOUBLINGS):
+        panels *= 2
+        cur = sweep(panels)
+        gap = float(np.max(np.abs(np.subtract(cur, prev))))
+        if gap <= tol:
+            return cur
+        prev = cur
+    raise NoConvergence(
+        f"{what} did not stabilize within {MAX_PANEL_DOUBLINGS} panel "
+        f"doublings (last delta {gap:.3e})")
 
 
 def path_integral(W, path: Polyline, tol: float = DEFAULT_TOL,
@@ -264,34 +216,16 @@ def path_integral(W, path: Polyline, tol: float = DEFAULT_TOL,
     """Integral of W dz along the polyline, dz = dx + j dt.
 
     W may be a HyperField or any callable z -> HyperbolicNumber.  Panels are
-    doubled until two refinements agree within tol componentwise.
+    doubled until two refinements agree within tol componentwise.  Both
+    components are ladder totals: Im(v dz) = Re((v_im + j v_re) dz).
     """
-    eval_many = getattr(W, "eval_many", None)
+    field = W if isinstance(W, HyperField) else HyperField(W)
 
-    def values(grid: PathGrid):
-        if eval_many is not None:
-            return eval_many(grid.flat_x, grid.flat_t)
-        flat_x = grid.flat_x
-        flat_t = grid.flat_t
-        vre = np.empty(flat_x.size)
-        vim = np.empty(flat_x.size)
-        for i in range(flat_x.size):
-            val = W(HyperbolicNumber(float(flat_x[i]), float(flat_t[i])))
-            vre[i] = val.re
-            vim[i] = val.im
-        return vre, vim
+    def sweep(panels):
+        grid = PathGrid.along(path, panels, order)
+        vre, vim = field.eval_many(grid.xs, grid.ts)
+        return np.concatenate([grid.prefix_re(vre, vim)[1],
+                               grid.prefix_re(vim, vre)[1]])
 
-    panels = initial_panels
-    grid = PathGrid(path, panels, order)
-    prev = grid.integrate_values(*values(grid))
-    for _ in range(MAX_PANEL_DOUBLINGS):
-        panels *= 2
-        grid = PathGrid(path, panels, order)
-        cur = grid.integrate_values(*values(grid))
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise NoConvergence(
-        f"path integral did not stabilize within {MAX_PANEL_DOUBLINGS} "
-        f"panel doublings (last delta {abs(cur - prev):.3e})"
-    )
+    total_re, total_im = refine(sweep, initial_panels, tol, "path integral")
+    return HyperbolicNumber(float(total_re), float(total_im))

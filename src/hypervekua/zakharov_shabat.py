@@ -26,9 +26,11 @@ from .errors import (CenterSingular, OutOfDomain, PotentialParseError,
 from .fields import GridDomain, HyperField
 from .hypernum import HyperbolicNumber, hyper
 from .pseudoanalytic import GeneratingPair, GeneratingSequence
-from .quadrature import PathGrid, Polyline, integrate
+from .quadrature import PathGrid, refine
 
 S_CHECKPOINTS = 64
+# S segments are short, so a low order settles in two sweeps of few nodes
+S_GAUSS_ORDER = 4
 DEFAULT_RK_STEP = 1e-3
 DEFAULT_DRIFT_THRESHOLD = 1e-8
 CENTER_EPS = 1e-6
@@ -41,10 +43,11 @@ CENTER_EPS = 1e-6
 class Potential:
     """Scalar potential s(x) together with an antiderivative S(x).
 
-    S is exact when a closed form is known; otherwise it is built by
-    cumulative adaptive quadrature from the left end of the working
-    interval (convention S(left end) = 0) with evenly spaced cached
-    checkpoints so that repeated evaluations stay cheap.
+    S is exact when a closed form is known; otherwise it comes from the
+    Gauss-Legendre ladder, anchored at the left end of the working interval
+    (convention S(left end) = 0): a cached table of S at evenly spaced
+    checkpoints plus, for each point, the integral from the checkpoint
+    below it.
     """
 
     def __init__(self, s: Callable[[float], float], *,
@@ -63,7 +66,8 @@ class Potential:
         if not self.x_range[0] < self.x_range[1]:
             raise ValueError("x_range must be increasing")
         self.quad_tol = quad_tol
-        self._checkpoints: dict = {0: 0.0}
+        self._S_table = None
+        self._integral_family = None
 
     # -- construction ---------------------------------------------------
 
@@ -167,12 +171,13 @@ class Potential:
         return cls(s, name=name, x_range=x_range)
 
     def rebase(self, x_range: tuple) -> "Potential":
-        """Move the working interval; resets the quadrature checkpoints."""
+        """Move the working interval; drops every cache built on the old one."""
         lo, hi = float(x_range[0]), float(x_range[1])
         if not lo < hi:
             raise ValueError("x_range must be increasing")
         self.x_range = (lo, hi)
-        self._checkpoints = {0: 0.0}
+        self._S_table = None
+        self._integral_family = None
         return self
 
     # -- evaluation -------------------------------------------------------
@@ -189,38 +194,41 @@ class Potential:
     def S(self, x: float) -> float:
         if self._S_exact is not None:
             return float(self._S_exact(float(x)))
-        return self._S_quadrature(float(x))
+        return float(self._S_quadrature(np.asarray(float(x))))
 
     def S_many(self, xs) -> np.ndarray:
         if self._S_many is not None:
             return np.asarray(self._S_many(xs), dtype=float)
-        flat = np.asarray(xs, dtype=float).ravel()
-        out = np.array([self.S(x) for x in flat])
-        return out.reshape(np.shape(xs))
+        xs = np.asarray(xs, dtype=float)
+        if self._S_exact is None:
+            return self._S_quadrature(xs)
+        return np.array([self.S(x) for x in xs.ravel()]).reshape(xs.shape)
 
-    def _S_quadrature(self, x: float) -> float:
+    def _integrals(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Integrals of s over every [a_i, b_i], refined together."""
+        verts_x = np.stack([a, b], axis=1)
+        verts_t = np.zeros_like(verts_x)
+
+        def sweep(panels):
+            grid = PathGrid(verts_x, verts_t, panels, S_GAUSS_ORDER)
+            return grid.prefix_re(self.s_many(grid.xs), 0.0)[1]
+
+        return refine(sweep, 1, self.quad_tol, "S quadrature")
+
+    def _S_quadrature(self, xs: np.ndarray) -> np.ndarray:
         lo, hi = self.x_range
         width = (hi - lo) / S_CHECKPOINTS
-        idx = int(math.floor((x - lo) / width))
-        idx = min(max(idx, 0), S_CHECKPOINTS)
-        base = self._checkpoint_value(idx)
-        anchor = lo + idx * width
-        return base + integrate(self._s, anchor, x, tol=self.quad_tol)
-
-    def _checkpoint_value(self, idx: int) -> float:
-        cached = self._checkpoints.get(idx)
-        if cached is not None:
-            return cached
-        lo, hi = self.x_range
-        width = (hi - lo) / S_CHECKPOINTS
-        # fill forward from the highest cached checkpoint below idx
-        known = max(i for i in self._checkpoints if i <= idx)
-        value = self._checkpoints[known]
-        for i in range(known, idx):
-            value += integrate(self._s, lo + i * width, lo + (i + 1) * width,
-                               tol=self.quad_tol)
-            self._checkpoints[i + 1] = value
-        return self._checkpoints[idx]
+        if self._S_table is None:
+            edges = lo + width * np.arange(S_CHECKPOINTS + 1)
+            self._S_table = np.concatenate(
+                ([0.0], np.cumsum(self._integrals(edges[:-1], edges[1:]))))
+        if xs.size == 0:
+            return np.zeros(xs.shape)
+        flat = xs.ravel()
+        idx = np.clip(np.floor((flat - lo) / width), 0, S_CHECKPOINTS)
+        anchors = lo + idx * width
+        out = self._S_table[idx.astype(int)] + self._integrals(anchors, flat)
+        return out.reshape(xs.shape)
 
 
 def parse_potential(text: str) -> Potential:
@@ -579,54 +587,32 @@ class IteratedIntegralFamily:
         """Values for levels 0..n as a list of dicts."""
         key = (float(x0), float(x))
         cached = self._cache.get(key)
-        if cached is not None and len(cached) > n:
-            return cached[: n + 1]
-        base = {f: 1.0 for f in self.FIELDS}
-        if n == 0 or x0 == x:
-            out = [base] + [
-                {f: 0.0 for f in self.FIELDS} for _ in range(n)
-            ]
-            if x0 == x:
-                self._cache[key] = out
-            return out
-        panels = max(2, int(math.ceil(abs(x - x0) / 0.5)))
-        prev = self._sweep(x0, x, n, panels)
-        for _ in range(12):
-            panels *= 2
-            cur = self._sweep(x0, x, n, panels)
-            gap = max(abs(cur[lv][f] - prev[lv][f])
-                      for lv in range(n + 1) for f in self.FIELDS)
-            if gap <= self.tol:
-                self._cache[key] = cur
-                return cur
-            prev = cur
-        self._cache[key] = prev
-        return prev
+        if cached is None or len(cached) <= n:
+            panels = max(2, int(math.ceil(abs(x - x0) / 0.5)))
+            swept = refine(lambda panels: self._sweep(x0, x, n, panels),
+                           panels, self.tol, "integral family ladder")
+            cached = [dict(zip(self.FIELDS, row)) for row in swept.tolist()]
+            self._cache[key] = cached
+        return cached[: n + 1]
 
     def _sweep(self, x0, x, n, panels):
-        path = Polyline.straight(HyperbolicNumber(x0, 0.0),
-                                 HyperbolicNumber(x, 0.0))
-        grid = PathGrid(path, panels, self.order)
-        Sv = self.p.S_many(grid.flat_x)
+        """Levels 0..n as an (n+1, 6) array, columns in FIELDS order."""
+        grid = PathGrid(np.array([[x0, x]]), np.zeros((1, 2)), panels,
+                        self.order)
+        Sv = self.p.S_many(grid.xs)
         c2 = np.cos(2.0 * Sv)
         s2 = np.sin(2.0 * Sv)
-        ones = np.ones_like(c2)
-        zeros = np.zeros_like(c2)
-        X = ones
-        Y = ones
-        out = [{f: 1.0 for f in self.FIELDS}]
+        X = np.ones_like(c2)
+        Y = X
+        out = np.ones((n + 1, len(self.FIELDS)))
         for k in range(1, n + 1):
-            Xc, Xc_tot = grid.prefix_re(X * c2, zeros)
-            Ys, Ys_tot = grid.prefix_re(Y * s2, zeros)
-            _, Yc_tot = grid.prefix_re(Y * c2, zeros)
-            _, Xs_tot = grid.prefix_re(X * s2, zeros)
-            _, X_tot = grid.prefix_re(X, zeros)
-            _, Y_tot = grid.prefix_re(Y, zeros)
-            out.append({
-                "X": k * Xc_tot, "Y": k * Ys_tot,
-                "Xt": k * Yc_tot, "Yt": k * Xs_tot,
-                "I": k * X_tot, "It": k * Y_tot,
-            })
+            Xc, Xc_tot = grid.prefix_re(X * c2, 0.0)
+            Ys, Ys_tot = grid.prefix_re(Y * s2, 0.0)
+            out[k] = [k * Xc_tot[0], k * Ys_tot[0],
+                      k * grid.prefix_re(Y * c2, 0.0)[1][0],
+                      k * grid.prefix_re(X * s2, 0.0)[1][0],
+                      k * grid.prefix_re(X, 0.0)[1][0],
+                      k * grid.prefix_re(Y, 0.0)[1][0]]
             X = k * Xc
             Y = k * Ys
         return out
@@ -638,11 +624,9 @@ class IteratedIntegralFamily:
 
 
 def _family(p: Potential) -> IteratedIntegralFamily:
-    fam = getattr(p, "_integral_family", None)
-    if fam is None:
-        fam = IteratedIntegralFamily(p)
-        p._integral_family = fam
-    return fam
+    if p._integral_family is None:
+        p._integral_family = IteratedIntegralFamily(p)
+    return p._integral_family
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 
+import pytest
+
 from hypervekua.cli import main
 
 
@@ -224,6 +226,34 @@ def test_bad_config_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, domain={"nx": 2, "nt": 5})
     assert main(["powers", "--config", str(cfg)]) == 2
     assert last_error(capsys)["code"] == "CONFIG_INVALID"
+
+
+@pytest.mark.parametrize("override", [
+    pytest.param({"center": "ab"}, id="center-text"),
+    pytest.param({"center": [1]}, id="center-one-number"),
+    pytest.param({"init": 5}, id="init-scalar"),
+    pytest.param({"exponents": "x"}, id="exponents-text"),
+    pytest.param({"domain": 3}, id="domain-scalar"),
+    pytest.param({"x_range": [1]}, id="x-range-one-number"),
+    pytest.param({"threads": "a"}, id="threads-text"),
+    pytest.param({"tolerances": []}, id="tolerances-list"),
+    pytest.param({"tolerances": {"residual": "nan"}}, id="tolerance-nan"),
+    pytest.param({"k_values": [None]}, id="k-null"),
+    pytest.param({"sequence_index": 1.5}, id="sequence-index-fraction"),
+])
+def test_malformed_config_fields_rejected(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, **override)
+    out = tmp_path / "out"
+    assert main(["powers", "--config", str(cfg), "--out", str(out)]) == 2
+    assert last_error(capsys)["code"] == "CONFIG_INVALID"
+    assert not out.exists()
+
+
+def test_powers_exponent_beyond_depth_cap(tmp_path, capsys):
+    cfg = write_config(tmp_path, potential="sech:1:1", exponents=[100])
+    out = tmp_path / "out"
+    assert main(["powers", "--config", str(cfg), "--out", str(out)]) == 2
+    assert last_error(capsys)["code"] == "DEPTH_EXCEEDED"
 
 
 def test_check_command(tmp_path, capsys):

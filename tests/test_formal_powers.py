@@ -184,6 +184,9 @@ def test_depth_guard(sech_setup):
     _, seq = sech_setup
     with pytest.raises(DepthExceeded):
         formal_power(FormalPowerSpec(0, 9, H(1, 0), H(0, 0)), H(0.5, 0.5), seq)
+    with pytest.raises(DepthExceeded):
+        formal_power_batch(FormalPowerSpec(0, 9, H(1, 0), H(0, 0)),
+                           seq, np.array([0.5]), np.array([0.5]))
     with pytest.raises(ValueError):
         FormalPowerSpec(0, -1, H(1, 0), H(0, 0))
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from hypervekua import (CenterSingular, FormalPowerSpec, GridDomain,
-                        HyperbolicNumber, HyperField, ModeField, OutOfDomain,
-                        Potential, PotentialParseError, StepTooLarge,
-                        W_to_modes, antiderivative_S,
+                        HyperbolicNumber, HyperField, ModeField, NoConvergence,
+                        OutOfDomain, Potential, PotentialParseError,
+                        StepTooLarge, W_to_modes, antiderivative_S,
                         closed_form_power, formal_power, formal_power_field,
                         modes_to_W, parse_potential, recombine_mode_residuals,
                         recursive_integrals, spectral_solve, vekua_residual,
                         vekua_zs_residual, zs_pair, zs_residual, zs_sequence)
+from hypervekua.zakharov_shabat import IteratedIntegralFamily
 
 H = HyperbolicNumber
 DOM = GridDomain(-1, 1, -1, 1, 5, 5)
@@ -41,6 +42,13 @@ def test_antiderivative_quadrature_route():
     offset = quad.S(-3.0) - exact.S(-3.0)  # left-end anchoring differs
     for x in (-2.5, -1.0, 0.0, 0.8, 2.9):
         assert abs((quad.S(x) - offset) - exact.S(x)) < 1e-9
+    # batched, with points outside the interval integrated from its nearest end
+    xs = np.linspace(-3.5, 3.5, 57).reshape(3, 19)
+    many = quad.S_many(xs)
+    assert many.shape == xs.shape
+    assert np.max(np.abs(many - offset - exact.S_many(xs))) < 1e-9
+    for x, v in zip(xs.ravel(), many.ravel()):
+        assert abs(quad.S(x) - v) < 1e-14
 
 
 def test_antiderivative_gaussian():
@@ -373,3 +381,20 @@ def test_closed_form_exponent_two_zero_potential_structure():
     got = closed_form_power(p, 2, H(1, 0), H(0.1, 0.2), H(0.1 + dx, 0.2 + dt))
     want_published = H(dx * dx + 2 * dt * dt, 3 * dx * dt)
     assert abs(got - want_published) < 1e-12
+
+
+def test_rebase_drops_cached_integrals():
+    s = lambda x: 1.0 / math.cosh(x)
+    a, z0, z = H(1, 0), H(0, 0), H(0.6, 0.4)
+    p = Potential.from_callable(s, x_range=(-2, 2))
+    closed_form_power(p, 1, a, z0, z)
+    got = closed_form_power(p.rebase((-1, 2)), 1, a, z0, z)
+    fresh = Potential.from_callable(s, x_range=(-1, 2))
+    assert abs(got - closed_form_power(fresh, 1, a, z0, z)) == 0.0
+
+
+def test_integral_family_raises_when_unconverged():
+    fam = IteratedIntegralFamily(Potential.sech(1, 1), tol=1e-30)
+    with pytest.raises(NoConvergence):
+        fam.levels(-0.5, 0.7, 2)
+    assert not fam._cache
