@@ -12,7 +12,6 @@ atomically via a temp file and rename.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -30,8 +29,8 @@ from .fields import GridDomain, HyperField
 from .formal_powers import FormalPowerSpec, formal_power_batch
 from .hypernum import HyperbolicNumber
 from .pseudoanalytic import GeneratingSequence
-from .zakharov_shabat import (Potential, parse_potential, spectral_solve,
-                              zs_residual, zs_sequence)
+from .zakharov_shabat import (DEFAULT_RK_STEP, Potential, parse_potential,
+                              spectral_solve, zs_residual, zs_sequence)
 
 DEFAULT_TOLERANCES = {
     "residual": 1e-2,      # finite differences at grid resolution
@@ -57,6 +56,8 @@ class RunConfig:
     tolerances: dict
     out_dir: str
     threads: int
+    rk_step: float
+    sequence_indices: list
     raw: dict = field(repr=False, default_factory=dict)
 
     @staticmethod
@@ -82,6 +83,8 @@ class RunConfig:
         coefficient = HyperbolicNumber(
             *_field(raw, "coefficient", [1.0, 0.0], _pair))
         exponents = _field(raw, "exponents", [0, 1, 2], _exponents)
+        if not exponents:
+            raise ConfigError("exponents must name at least one exponent")
         if any(n < 0 for n in exponents):
             raise ConfigError("exponents must be nonnegative")
         tolerances = dict(DEFAULT_TOLERANCES)
@@ -91,6 +94,12 @@ class RunConfig:
             raise ConfigError("tolerances must be positive")
         k_values = _field(raw, "k_values", [],
                           lambda v: [_finite(k) for k in _sequence(v)])
+        labels = [_k_label(k) for k in k_values]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"k_values must differ at %g: {labels}")
+        rk_step = _field(raw, "rk_step", DEFAULT_RK_STEP, _finite)
+        if not rk_step > 0:
+            raise ConfigError("rk_step must be positive")
         init = _field(raw, "init", [1.0, 0.0],
                       lambda v: tuple(complex(c) for c in _sequence(v, 2)))
         if "x_range" in raw:
@@ -113,6 +122,10 @@ class RunConfig:
             tolerances=tolerances,
             out_dir=str(raw.get("out_dir", "hypervekua_out")),
             threads=_field(raw, "threads", 1, _integer),
+            rk_step=rk_step,
+            sequence_indices=_field(
+                raw, "sequence_indices", [0, 1],
+                lambda v: [_integer(m) for m in _sequence(v)]),
             raw=raw,
         )
 
@@ -157,6 +170,11 @@ def _exponents(value) -> list:
     if isinstance(value, int):
         return list(range(value + 1))
     return [_integer(n) for n in _sequence(value)]
+
+
+def _k_label(k: float) -> str:
+    """The wave number as it appears in spectral file and result names."""
+    return f"k{k:g}"
 
 
 def _build_potential(cfg: RunConfig) -> Potential:
@@ -243,24 +261,14 @@ def _write_summary(cfg: RunConfig, command: str, results: dict,
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _grid_eval(cfg: RunConfig, seq: GeneratingSequence, spec: FormalPowerSpec,
-               xx, tt, tol: float):
-    """Batched power evaluation, optionally split across worker threads."""
-    if cfg.threads <= 1:
-        return formal_power_batch(spec, seq, xx, tt, tol=tol)
-    rows = np.array_split(np.arange(xx.shape[0]), cfg.threads)
-    re = np.empty_like(xx)
-    im = np.empty_like(xx)
+def _grid_eval(seq: GeneratingSequence, spec: FormalPowerSpec, xx, tt,
+               tol: float):
+    """The power on the whole grid in one batch.
 
-    def work(idx):
-        r, i = formal_power_batch(spec, seq, xx[idx], tt[idx], tol=tol)
-        return idx, r, i
-
-    with concurrent.futures.ThreadPoolExecutor(cfg.threads) as pool:
-        for idx, r, i in pool.map(work, [b for b in rows if b.size]):
-            re[idx] = r
-            im[idx] = i
-    return re, im
+    Single-threaded: the x-ladder of a Zakharov-Shabat sequence is shared
+    by every grid row, so splitting rows across threads repeats it.
+    """
+    return formal_power_batch(spec, seq, xx, tt, tol=tol)
 
 
 def _table_vekua_residual(p: Potential, dom: GridDomain, re, im):
@@ -297,7 +305,7 @@ def cmd_powers(cfg: RunConfig) -> int:
     for n in cfg.exponents:
         spec = FormalPowerSpec(cfg.sequence_index, n, cfg.coefficient,
                                cfg.center)
-        re, im = _grid_eval(cfg, seq, spec, xx, tt, tol_quad)
+        re, im = _grid_eval(seq, spec, xx, tt, tol_quad)
         with_closed = n <= 2
         header = ["x", "t", "re", "im"]
         closed_vals = None
@@ -365,8 +373,7 @@ def cmd_modes(cfg: RunConfig) -> int:
     for n in cfg.exponents:
         spec = FormalPowerSpec(cfg.sequence_index, n, cfg.coefficient,
                                cfg.center)
-        re, im = _grid_eval(cfg, seq, spec, xx, tt,
-                            cfg.tolerances["quadrature"])
+        re, im = _grid_eval(seq, spec, xx, tt, cfg.tolerances["quadrature"])
         n_plus = (re - im) / 2.0
         n_minus = (re + im) / 2.0
         # mode-equation residuals on interior nodes via grid-step differences
@@ -404,12 +411,11 @@ def cmd_spectral(cfg: RunConfig) -> int:
         raise ConfigError("spectral runs need a nonempty k list")
     p = _build_potential(cfg)
     lo, hi = cfg.x_range
-    rk_step = float(cfg.raw.get("rk_step", 1e-3))
     results = {}
     passed = True
     for k in cfg.k_values:
         try:
-            state = spectral_solve(p, k, (lo, hi), cfg.init, step=rk_step,
+            state = spectral_solve(p, k, (lo, hi), cfg.init, step=cfg.rk_step,
                                    drift_threshold=cfg.tolerances["drift"])
         except StepTooLarge as exc:
             raise StepTooLarge(f"k = {k:g}: {exc}") from exc
@@ -421,7 +427,7 @@ def cmd_spectral(cfg: RunConfig) -> int:
                          float(state.n1[i].real), float(state.n1[i].imag),
                          float(state.n2[i].real), float(state.n2[i].imag),
                          float(conserved[i])])
-        name = f"spectral_k{k:g}.csv"
+        name = f"spectral_{_k_label(k)}.csv"
         _atomic_write(os.path.join(cfg.out_dir, name),
                       _csv_text(["x", "re_n1", "im_n1", "re_n2", "im_n2",
                                  "conserved"], rows))
@@ -435,7 +441,7 @@ def cmd_spectral(cfg: RunConfig) -> int:
                                      h=1e-3)
                 bridge = max(bridge, abs(r1), abs(r2))
         ok = bridge <= cfg.tolerances["residual"]
-        results[f"k{k:g}"] = {
+        results[_k_label(k)] = {
             "table": name,
             "conservation_drift_per_unit_x": state.drift_per_unit,
             "max_bridge_residual": bridge,
@@ -463,14 +469,13 @@ def cmd_sequence(cfg: RunConfig) -> int:
     p = _build_potential(cfg)
     seq = zs_sequence(p, _working_domain(cfg))
     dom = cfg.domain
-    indices = cfg.raw.get("sequence_indices", [0, 1])
     manifest = {
         "potential": cfg.potential_spec,
         "domain": dom.to_json_dict(),
         "period": seq.period,
         "pairs": {},
     }
-    for m in [int(m) for m in indices]:
+    for m in cfg.sequence_indices:
         pair = seq.pair(m)
         f_name = f"pair_m{m}_F.csv"
         g_name = f"pair_m{m}_G.csv"
@@ -558,8 +563,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--tol", type=float,
                          help="override the residual tolerance")
         cmd.add_argument("--threads", type=int,
-                         help="worker threads for grid sweeps "
-                              "(HYPERVEKUA_THREADS as fallback)")
+                         help="accepted for compatibility; grid sweeps run "
+                              "single-threaded (HYPERVEKUA_THREADS as "
+                              "fallback)")
     return parser
 
 
@@ -588,7 +594,8 @@ def main(argv=None) -> int:
             cfg.tolerances["residual"] = args.tol
         threads = args.threads
         if threads is None:
-            threads = int(os.environ.get("HYPERVEKUA_THREADS", cfg.threads))
+            threads = _field(os.environ, "HYPERVEKUA_THREADS", cfg.threads,
+                             _integer)
         cfg.threads = max(1, threads)
         return COMMANDS[args.command](cfg)
     except HyperVekuaError as exc:

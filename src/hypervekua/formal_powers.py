@@ -6,7 +6,19 @@ path is fixed per evaluation, every level of the recursion can be
 evaluated on one shared set of quadrature nodes: each level is a prefix
 integral of the previous one.  That ladder replaces the exponential tree
 of nested sub-path integrals, and it vectorizes over many target points
-at once, which is what makes grid sweeps affordable.
+at once.
+
+Two batched routes share the ladder.  The straight-path ladder
+(`_evaluate_batch`) integrates from the center to every target and works
+for any sequence; `formal_power` and `l_path_power` always use it, so it
+is also the oracle for the second route.  When a sequence declares that
+its pairs depend on x only (`GeneratingSequence(x_only=True)`, as every
+Zakharov-Shabat sequence does), `formal_power_batch` integrates along the
+L-path instead (`_evaluate_x_ladder`): one 1-D ladder on t = t0 from x0
+to each distinct target x, then the t-leg in closed form.  Along t the
+pair values are constant, so level k is a polynomial of degree k in
+tau = t - t0 whose coefficients come from the x-leg totals by the
+recursion of spectral parameter power series.
 """
 
 from __future__ import annotations
@@ -87,42 +99,54 @@ def _pair_node_values(pair: GeneratingPair, xs, ts, cache: dict):
     return hit
 
 
-def _ladder_sweep(seq: GeneratingSequence, m: int, n: int, lam: float,
-                  mu: float, verts_x, verts_t, panels: int, order: int):
-    """One batched sweep; exponent k lives on pair m+n-k, k = 0..n.
+def _level_totals(seq: GeneratingSequence, m: int, n: int, lam: float,
+                  mu: float, grid: PathGrid) -> list:
+    """Path totals (Re int G* W dz, Re int F* W dz) of levels k = 1..n.
 
-    Returns endpoint values of Z_m^(n) as (re, im) arrays of shape (T,).
+    Exponent k lives on pair m+n-k; level k integrates level k-1 on the
+    same grid nodes.  Returns one (tot_g, tot_f) pair of (T,) arrays per
+    level.
     """
-    grid = PathGrid(verts_x, verts_t, panels, order)
     xs = grid.xs
     ts = grid.ts
     cache: dict = {}
-    top = seq.pair(m + n)
-    fr, fi, gr, gi, _, _, _, _ = _pair_node_values(top, xs, ts, cache)
+    fr, fi, gr, gi, _, _, _, _ = _pair_node_values(seq.pair(m + n), xs, ts,
+                                                   cache)
     w_re = lam * fr + mu * gr
     w_im = lam * fi + mu * gi
+    totals = []
     for k in range(1, n + 1):
-        pair = seq.pair(m + n - k)
         fr, fi, gr, gi, fsr, fsi, gsr, gsi = _pair_node_values(
-            pair, xs, ts, cache)
+            seq.pair(m + n - k), xs, ts, cache)
         gw_re = gsr * w_re + gsi * w_im
         gw_im = gsr * w_im + gsi * w_re
         fw_re = fsr * w_re + fsi * w_im
         fw_im = fsr * w_im + fsi * w_re
         cum_g, tot_g = grid.prefix_re(gw_re, gw_im)
         cum_f, tot_f = grid.prefix_re(fw_re, fw_im)
+        totals.append((tot_g, tot_f))
         if k < n:
             w_re = k * (fr * cum_g + gr * cum_f)
             w_im = k * (fi * cum_g + gi * cum_f)
-        else:
-            end_x = verts_x[:, -1]
-            end_t = verts_t[:, -1]
-            efr, efi = pair.F.eval_many(end_x, end_t)
-            egr, egi = pair.G.eval_many(end_x, end_t)
-            res_re = k * (efr * tot_g + egr * tot_f)
-            res_im = k * (efi * tot_g + egi * tot_f)
-            return res_re, res_im
-    raise AssertionError("ladder called with n = 0")
+    return totals
+
+
+def _ladder_sweep(seq: GeneratingSequence, m: int, n: int, lam: float,
+                  mu: float, verts_x, verts_t, panels: int, order: int):
+    """One batched straight-path sweep of the ladder, n >= 1.
+
+    Returns endpoint values of Z_m^(n) as (re, im) arrays of shape (T,).
+    """
+    if n < 1:
+        raise AssertionError("ladder called with n = 0")
+    grid = PathGrid(verts_x, verts_t, panels, order)
+    tot_g, tot_f = _level_totals(seq, m, n, lam, mu, grid)[-1]
+    pair = seq.pair(m)
+    end_x = verts_x[:, -1]
+    end_t = verts_t[:, -1]
+    efr, efi = pair.F.eval_many(end_x, end_t)
+    egr, egi = pair.G.eval_many(end_x, end_t)
+    return n * (efr * tot_g + egr * tot_f), n * (efi * tot_g + egi * tot_f)
 
 
 def _evaluate_batch(spec: FormalPowerSpec, seq: GeneratingSequence,
@@ -138,6 +162,70 @@ def _evaluate_batch(spec: FormalPowerSpec, seq: GeneratingSequence,
         lambda panels: _ladder_sweep(seq, spec.m, spec.n, lam, mu, verts_x,
                                      verts_t, panels, order),
         panels, tol, "formal power ladder")
+
+
+def _t_leg(m: int, n: int, lam: float, mu: float, at_x: dict,
+           totals: list, where, tau):
+    """Level n at the targets, from the x-leg totals of every level.
+
+    At fixed x the pair values are constants, so with level k - 1 written
+    as sum_i c_i tau^i, level k has c_0 = k (F tot_g + G tot_f) and
+    c_{i+1} = k [F Im(G* c_i) + G Im(F* c_i)] / (i + 1).  at_x maps a
+    pair index to its node values at the distinct target x; where maps
+    each target to its distinct x.
+    """
+    fr, fi, gr, gi, _, _, _, _ = at_x[m + n]
+    coeffs = [(lam * fr + mu * gr, lam * fi + mu * gi)]
+    for k in range(1, n + 1):
+        fr, fi, gr, gi, fsr, fsi, gsr, gsi = at_x[m + n - k]
+        tot_g, tot_f = totals[k - 1]
+        nxt = [(k * (fr * tot_g + gr * tot_f), k * (fi * tot_g + gi * tot_f))]
+        for i, (c_re, c_im) in enumerate(coeffs):
+            im_g = gsr * c_im + gsi * c_re
+            im_f = fsr * c_im + fsi * c_re
+            scale = k / (i + 1)
+            nxt.append((scale * (fr * im_g + gr * im_f),
+                        scale * (fi * im_g + gi * im_f)))
+        coeffs = nxt
+    re = coeffs[-1][0][where]
+    im = coeffs[-1][1][where]
+    for c_re, c_im in reversed(coeffs[:-1]):
+        re = re * tau + c_re[where]
+        im = im * tau + c_im[where]
+    return re, im
+
+
+def _evaluate_x_ladder(spec: FormalPowerSpec, seq: GeneratingSequence,
+                       xs: np.ndarray, ts: np.ndarray, tol: float,
+                       order: int):
+    """L-path evaluation at flat target arrays for pairs of x alone, n >= 1.
+
+    The x-leg is one batched ladder on t = t0 from x0 to each distinct
+    target x; the t-leg is exact (`_t_leg`).  Panels are doubled until two
+    sweeps agree within tol at every target.  The pair is checked for
+    degeneracy on the x-leg nodes and at the target x values, which covers
+    the whole t-leg.
+    """
+    m, n = spec.m, spec.n
+    lam, mu = z0_coefficients(spec.a, spec.z0, seq.pair(m + n))
+    x0, t0 = spec.z0.re, spec.z0.im
+    ux, where = np.unique(xs, return_inverse=True)
+    tau = ts - t0
+    leg_t = np.full(ux.size, t0)
+    at_x: dict = {}
+    cache: dict = {}
+    for k in range(n + 1):
+        at_x[m + k] = _pair_node_values(seq.pair(m + k), ux, leg_t, cache)
+    verts_x = np.stack([np.full(ux.size, x0), ux], axis=1)
+    verts_t = np.stack([leg_t, leg_t], axis=1)
+    panels = max(2, int(np.ceil(np.max(np.abs(ux - x0)) / 0.5)))
+
+    def sweep(panels):
+        grid = PathGrid(verts_x, verts_t, panels, order)
+        totals = _level_totals(seq, m, n, lam, mu, grid)
+        return _t_leg(m, n, lam, mu, at_x, totals, where, tau)
+
+    return refine(sweep, panels, tol, "formal power x-ladder")
 
 
 def _check_depth(n: int, max_exponent: int) -> None:
@@ -203,11 +291,13 @@ def formal_power_field(spec: FormalPowerSpec, seq: GeneratingSequence, *,
 def formal_power_batch(spec: FormalPowerSpec, seq: GeneratingSequence,
                        xs, ts, *, tol: float = DEFAULT_TOL,
                        order: int = DEFAULT_GAUSS_ORDER):
-    """Straight-path evaluation at many targets at once.
+    """Evaluation at many targets at once.
 
-    Returns (re, im) arrays matching the target arrays.  Targets equal to
-    the center come out exactly: the zero-length ladder integrates to 0 for
-    n >= 1 and to the coefficient a for n = 0.
+    Returns (re, im) arrays matching the target arrays.  Sequences whose
+    pairs depend on x only take the L-path x-ladder, every other sequence
+    the straight-path ladder.  Targets equal to the center come out
+    exactly: a zero-length ladder integrates to 0 for n >= 1, and n = 0
+    gives the coefficient a.
     """
     _check_depth(spec.n, DEFAULT_MAX_EXPONENT)
     xs = np.asarray(xs, dtype=float)
@@ -218,9 +308,14 @@ def formal_power_batch(spec: FormalPowerSpec, seq: GeneratingSequence,
         fr, fi = pair.F.eval_many(xs, ts)
         gr, gi = pair.G.eval_many(xs, ts)
         return lam * fr + mu * gr, lam * fi + mu * gi
-    verts_x = np.stack([np.full(xs.size, spec.z0.re), xs.ravel()], axis=1)
-    verts_t = np.stack([np.full(ts.size, spec.z0.im), ts.ravel()], axis=1)
-    res_re, res_im = _evaluate_batch(spec, seq, verts_x, verts_t, tol, order)
+    if seq.x_only:
+        res_re, res_im = _evaluate_x_ladder(spec, seq, xs.ravel(), ts.ravel(),
+                                            tol, order)
+    else:
+        verts_x = np.stack([np.full(xs.size, spec.z0.re), xs.ravel()], axis=1)
+        verts_t = np.stack([np.full(ts.size, spec.z0.im), ts.ravel()], axis=1)
+        res_re, res_im = _evaluate_batch(spec, seq, verts_x, verts_t, tol,
+                                         order)
     return res_re.reshape(xs.shape), res_im.reshape(ts.shape)
 
 

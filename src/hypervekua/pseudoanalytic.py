@@ -223,16 +223,19 @@ class GeneratingSequence:
     When reduce_modulo_period is set (the default for periodic sequences
     whose pairs repeat identically, not merely with equal coefficients),
     indices are folded into one period before hitting the factory.
+    x_only declares that every pair depends on x alone, which lets batched
+    formal powers integrate along the L-path with an exact t-leg.
     """
 
     def __init__(self, pair_factory: Callable[[int], GeneratingPair],
                  period: Optional[int] = None, name: str = "",
-                 reduce_modulo_period: bool = True):
+                 reduce_modulo_period: bool = True, x_only: bool = False):
         if period is not None and period <= 0:
             raise ValueError("period must be a positive integer")
         self._factory = pair_factory
         self.period = period
         self.name = name
+        self.x_only = x_only
         self._reduce = reduce_modulo_period and period is not None
         self._cache: dict = {}
 

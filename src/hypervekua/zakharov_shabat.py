@@ -329,11 +329,11 @@ def zs_pair(p: Potential, m: int,
 
 def zs_sequence(p: Potential,
                 domain: Optional[GridDomain] = None) -> GeneratingSequence:
-    """Period-2 generating sequence backed by zs_pair."""
+    """Period-2 generating sequence backed by zs_pair; its pairs depend on x only."""
     if domain is None:
         domain = _default_domain(p)
     return GeneratingSequence(lambda m: zs_pair(p, m, domain), period=2,
-                              name=f"zakharov-shabat[{p.name}]")
+                              name=f"zakharov-shabat[{p.name}]", x_only=True)
 
 
 # ----------------------------------------------------------------------

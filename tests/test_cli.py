@@ -240,6 +240,16 @@ def test_bad_config_rejected(tmp_path, capsys):
     pytest.param({"tolerances": {"residual": "nan"}}, id="tolerance-nan"),
     pytest.param({"k_values": [None]}, id="k-null"),
     pytest.param({"sequence_index": 1.5}, id="sequence-index-fraction"),
+    pytest.param({"rk_step": 0}, id="rk-step-zero"),
+    pytest.param({"rk_step": "abc"}, id="rk-step-text"),
+    pytest.param({"rk_step": -0.5}, id="rk-step-negative"),
+    pytest.param({"sequence_indices": ["x"]}, id="sequence-indices-text"),
+    pytest.param({"sequence_indices": 3}, id="sequence-indices-scalar"),
+    pytest.param({"sequence_indices": [1.5]}, id="sequence-indices-fraction"),
+    pytest.param({"exponents": -1}, id="exponents-none-up-to"),
+    pytest.param({"exponents": []}, id="exponents-empty"),
+    # both would be written as spectral_k1.csv and summarized as k1
+    pytest.param({"k_values": [1.0000001, 1.0000002]}, id="k-values-collide"),
 ])
 def test_malformed_config_fields_rejected(tmp_path, capsys, override):
     cfg = write_config(tmp_path, **override)
@@ -265,3 +275,11 @@ def test_check_command(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["passed"] is True
     assert summary["results"]["runtime_ok"] is True
+
+
+def test_threads_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    monkeypatch.setenv("HYPERVEKUA_THREADS", "two")
+    assert main(["powers", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert last_error(capsys)["code"] == "CONFIG_INVALID"

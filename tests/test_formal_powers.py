@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypervekua import (DepthExceeded, FormalPowerSpec, GeneratingSequence,
-                        GridDomain, HyperbolicNumber, Polyline, classical_pair,
+from hypervekua import (DegeneratePair, DepthExceeded, FormalPowerSpec,
+                        GeneratingPair, GeneratingSequence, GridDomain,
+                        HyperbolicNumber, HyperField, Polyline, classical_pair,
                         closed_form_power, fg_derivative, formal_power,
                         formal_power_batch, formal_power_field,
                         formal_power_grid, l_path_power, vekua_zs_residual,
                         z0_coefficients)
+from hypervekua import formal_powers
 from hypervekua.hypernum import power
 from hypervekua.zakharov_shabat import Potential, zs_sequence
 
@@ -208,3 +212,100 @@ def test_grid_sweep_classical(classical_seq):
     fld = formal_power_grid(spec, classical_seq, grid)
     for z in grid.interior_lattice(3, 3):
         assert abs(fld(z) - power(z, 3)) < 1e-9
+
+
+def undeclared(seq):
+    """The same pairs without the x-only declaration: the straight-path route."""
+    return GeneratingSequence(seq.pair, period=seq.period)
+
+
+POTENTIALS = {
+    "sech": lambda amp: Potential.sech(amp, 1.3, x_range=(-2, 2)),
+    "gauss": lambda amp: Potential.gaussian(amp, 0.6, x_range=(-2, 2)),
+    "callable": lambda amp: Potential.from_callable(
+        lambda x: amp / (1.0 + x * x), x_range=(-2, 2)),
+}
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(deadline=None, max_examples=25)
+@given(kind=st.sampled_from(sorted(POTENTIALS)), amp=st.floats(0.5, 1.5),
+       n=st.integers(1, 6), m=st.sampled_from([0, 1]),
+       x0=st.floats(-0.5, 0.5), t0=st.floats(-0.5, 0.5),
+       a=st.tuples(unit, unit), free=st.lists(st.tuples(unit, unit),
+                                              min_size=1, max_size=4))
+def test_x_ladder_matches_straight_path_and_l_path(kind, amp, n, m, x0, t0,
+                                                   a, free):
+    seq = zs_sequence(POTENTIALS[kind](amp), DOM)
+    spec = FormalPowerSpec(m, n, H(*a), H(x0, t0))
+    x1, t1 = free[0]
+    # the center, its x line, its t line, then free targets
+    xs = np.array([x0, x0, x1] + [x for x, _ in free])
+    ts = np.array([t0, t1, t0] + [t for _, t in free])
+    re, im = formal_power_batch(spec, seq, xs, ts)
+    assert re[0] == 0.0 and im[0] == 0.0
+    s_re, s_im = formal_power_batch(spec, undeclared(seq), xs, ts)
+    for i in range(xs.size):
+        got = H(re[i], im[i])
+        bound = 1e-10 * max(1.0, abs(got))
+        assert abs(got - H(s_re[i], s_im[i])) <= bound
+        assert abs(got - l_path_power(spec, H(xs[i], ts[i]), seq)) <= bound
+
+
+def test_x_only_sequences_skip_the_straight_ladder(sech_setup, monkeypatch):
+    calls = []
+    sweep = formal_powers._ladder_sweep
+
+    def counted(*args):
+        calls.append(args[2])
+        return sweep(*args)
+
+    monkeypatch.setattr(formal_powers, "_ladder_sweep", counted)
+    _, seq = sech_setup
+    assert seq.x_only
+    xs = np.array([0.5, -0.3])
+    ts = np.array([0.4, 0.7])
+    for n in (1, 4):
+        spec = FormalPowerSpec(0, n, H(1.0, 0.2), H(0.2, 0.1))
+        formal_power_batch(spec, seq, xs, ts)
+        formal_power_grid(spec, seq, GridDomain(-0.5, 0.5, -0.5, 0.5, 5, 5))
+    assert calls == []
+    plain = undeclared(seq)
+    assert not plain.x_only
+    formal_power_batch(FormalPowerSpec(0, 2, H(1, 0), H(0.2, 0.1)), plain,
+                       xs, ts)
+    assert calls and set(calls) == {2}
+    # the scalar routes stay on the straight ladder: they are the oracles
+    calls.clear()
+    spec = FormalPowerSpec(0, 3, H(1, 0), H(0.2, 0.1))
+    formal_power(spec, H(0.5, 0.4), seq)
+    l_path_power(spec, H(0.5, 0.4), seq)
+    assert calls and set(calls) == {3}
+
+
+def x_only_sequence(det):
+    """A one-pair x-only sequence F = 1, G = j det(x), frame determinant det."""
+    def g_many(xs, ts):
+        return np.zeros(np.shape(xs)), det(np.asarray(xs, float))
+
+    pair = GeneratingPair(
+        HyperField.constant(1.0),
+        HyperField(lambda z: H(0.0, float(det(z.re))), eval_many=g_many), DOM)
+    return GeneratingSequence(lambda m: pair, period=1, x_only=True)
+
+
+def test_x_ladder_reports_degenerate_nodes():
+    spec = FormalPowerSpec(0, 2, H(1, 0), H(0.5, 0.1))
+    # both ends are regular, but the x-leg crosses the band |x| < 0.2
+    band = x_only_sequence(lambda x: np.where(np.abs(x) < 0.2, 0.0, x))
+    with pytest.raises(DegeneratePair) as leg:
+        formal_power_batch(spec, band, np.array([0.6, -0.5]),
+                           np.array([0.2, 0.3]))
+    assert leg.value.nodes
+    assert all(abs(z.re) < 0.2 and z.im == 0.1 for z in leg.value.nodes)
+    # the x-leg stays regular, but the t-leg runs along the zero line x = 0
+    line = x_only_sequence(lambda x: x)
+    with pytest.raises(DegeneratePair) as target:
+        formal_power_batch(spec, line, np.array([0.6, 0.0]),
+                           np.array([0.2, 0.4]))
+    assert [(z.re, z.im) for z in target.value.nodes] == [(0.0, 0.1)]
