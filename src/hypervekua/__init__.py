@@ -28,10 +28,11 @@ from .pseudoanalytic import (CharCoefficients, GeneratingPair,
 from .quadrature import Polyline, path_integral
 from .zakharov_shabat import (ModeField, Potential, RecursiveIntegrals,
                               SpectralState, W_to_modes, antiderivative_S,
-                              closed_form_power, modes_to_W, parse_potential,
-                              recombine_mode_residuals, recursive_integrals,
-                              spectral_solve, vekua_zs_residual, zs_pair,
-                              zs_residual, zs_sequence)
+                              closed_form_grid, closed_form_power, modes_to_W,
+                              parse_potential, recombine_mode_residuals,
+                              recursive_integrals, spectral_solve,
+                              vekua_zs_residual, zs_pair, zs_residual,
+                              zs_sequence)
 
 __version__ = "0.1.0"
 
@@ -44,8 +45,8 @@ __all__ = [
     "PotentialParseError", "RecursiveIntegrals", "ResidualTooLarge",
     "SpectralState", "StepTooLarge", "W_to_modes", "ZeroDivisor", "adjoint",
     "antiderivative_S", "characteristic_coefficients", "check_generating",
-    "classical_pair", "closed_form_power", "conj", "d_z", "d_zbar",
-    "decompose", "fg_derivative", "fg_integral", "formal_power",
+    "classical_pair", "closed_form_grid", "closed_form_power", "conj", "d_z",
+    "d_zbar", "decompose", "fg_derivative", "fg_integral", "formal_power",
     "formal_power_batch", "formal_power_field", "formal_power_grid",
     "from_idempotent",
     "higher_derivative", "hyper", "hyperbolic_derivative", "identity_field",

@@ -25,13 +25,16 @@ import numpy as np
 
 from . import verification
 from .errors import ConfigError, HyperVekuaError, StepTooLarge
-from .fields import GridDomain, HyperField
+from .fields import GridDomain
+from .fields import csv_text as _csv_text
 from .formal_powers import FormalPowerSpec, formal_power_batch
 from .hypernum import HyperbolicNumber
 from .pseudoanalytic import GeneratingSequence
-from .zakharov_shabat import (DEFAULT_RK_STEP, Potential, parse_potential,
-                              spectral_solve, zs_residual, zs_sequence)
+from .zakharov_shabat import (DEFAULT_RK_STEP, Potential, closed_form_grid,
+                              parse_potential, spectral_solve, zs_residual,
+                              zs_sequence)
 
+DOMAIN_KEYS = ("x_min", "x_max", "t_min", "t_max", "nx", "nt", "timelike")
 DEFAULT_TOLERANCES = {
     "residual": 1e-2,      # finite differences at grid resolution
     "closed_form": 1e-6,
@@ -68,6 +71,7 @@ class RunConfig:
         if not isinstance(dom_raw, dict):
             raise ConfigError("domain must be a JSON object")
         try:
+            _known(dom_raw, DOMAIN_KEYS)
             domain = GridDomain(
                 _finite(dom_raw.get("x_min", -1.0)),
                 _finite(dom_raw.get("x_max", 1.0)),
@@ -75,7 +79,7 @@ class RunConfig:
                 _finite(dom_raw.get("t_max", 1.0)),
                 _integer(dom_raw.get("nx", 21)),
                 _integer(dom_raw.get("nt", 21)),
-                bool(dom_raw.get("timelike", False)),
+                _boolean(dom_raw.get("timelike", False)),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad domain: {exc}") from exc
@@ -89,7 +93,8 @@ class RunConfig:
             raise ConfigError("exponents must be nonnegative")
         tolerances = dict(DEFAULT_TOLERANCES)
         tolerances.update(_field(raw, "tolerances", {}, lambda v: {
-            key: _finite(val) for key, val in v.items()}))
+            key: _finite(val)
+            for key, val in _known(v, DEFAULT_TOLERANCES).items()}))
         if any(v <= 0 for v in tolerances.values()):
             raise ConfigError("tolerances must be positive")
         k_values = _field(raw, "k_values", [],
@@ -149,9 +154,23 @@ def _finite(value) -> float:
 
 
 def _integer(value) -> int:
-    if float(value) != int(value):
+    if isinstance(value, bool) or float(value) != int(value):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+def _known(value: dict, keys) -> dict:
+    """value itself; a key outside keys (a misspelling) is an error."""
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown}")
+    return value
 
 
 def _sequence(value, length=None) -> list:
@@ -167,7 +186,7 @@ def _pair(value) -> tuple:
 
 
 def _exponents(value) -> list:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return list(range(value + 1))
     return [_integer(n) for n in _sequence(value)]
 
@@ -214,20 +233,6 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return f"{value:.17g}"
-
-
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def _input_hash(cfg: RunConfig) -> str:
@@ -292,8 +297,6 @@ def _table_vekua_residual(p: Potential, dom: GridDomain, re, im):
 
 
 def cmd_powers(cfg: RunConfig) -> int:
-    from .zakharov_shabat import CENTER_EPS, closed_form_power
-
     _check_center(cfg)
     p = _build_potential(cfg)
     seq = zs_sequence(p, _working_domain(cfg))
@@ -308,38 +311,24 @@ def cmd_powers(cfg: RunConfig) -> int:
         re, im = _grid_eval(seq, spec, xx, tt, tol_quad)
         with_closed = n <= 2
         header = ["x", "t", "re", "im"]
-        closed_vals = None
+        columns = [xx, tt, re, im]
         if with_closed:
+            closed_re, closed_im = closed_form_grid(
+                p, n, cfg.coefficient, cfg.center, dom.x_nodes(),
+                dom.t_nodes())
             header += ["re_closed", "im_closed"]
-            closed_vals = np.full((dom.nt, dom.nx, 2), np.nan)
-            for it in range(dom.nt):
-                for ix in range(dom.nx):
-                    z = HyperbolicNumber(float(xx[it, ix]), float(tt[it, ix]))
-                    if n == 2 and abs(z.re - cfg.center.re) < CENTER_EPS:
-                        continue
-                    val = closed_form_power(p, n, cfg.coefficient, cfg.center, z)
-                    closed_vals[it, ix] = (val.re, val.im)
-        rows = []
-        for it in range(dom.nt):
-            for ix in range(dom.nx):
-                row = [float(xx[it, ix]), float(tt[it, ix]),
-                       float(re[it, ix]), float(im[it, ix])]
-                if with_closed:
-                    row += [float(closed_vals[it, ix, 0]),
-                            float(closed_vals[it, ix, 1])]
-                rows.append(row)
+            columns += [closed_re, closed_im]
         name = f"power_m{cfg.sequence_index}_n{n}.csv"
         _atomic_write(os.path.join(cfg.out_dir, name),
-                      _csv_text(header, rows))
+                      _csv_text(header, columns))
         entry = {"table": name}
         entry["max_vekua_residual"] = _table_vekua_residual(p, dom, re, im)
         residual_ok = entry["max_vekua_residual"] <= cfg.tolerances["residual"]
         entry["residual_ok"] = residual_ok
         passed = passed and residual_ok
         if with_closed:
-            mask = ~np.isnan(closed_vals[:, :, 0])
-            diff = np.maximum(np.abs(re - closed_vals[:, :, 0]),
-                              np.abs(im - closed_vals[:, :, 1]))
+            mask = ~np.isnan(closed_re)
+            diff = np.maximum(np.abs(re - closed_re), np.abs(im - closed_im))
             max_diff = float(np.max(diff[mask])) if mask.any() else float("nan")
             entry["closed_form_max_diff"] = max_diff
             if n <= 1:
@@ -387,16 +376,10 @@ def cmd_modes(cfg: RunConfig) -> int:
         r2[1:-1, 1:-1] = ((n_minus[1:-1, 2:] - n_minus[1:-1, :-2]) / (2 * hx)
                           - (n_minus[2:, 1:-1] - n_minus[:-2, 1:-1]) / (2 * ht)
                           + svals * n_plus[1:-1, 1:-1])
-        rows = []
-        for it in range(dom.nt):
-            for ix in range(dom.nx):
-                rows.append([float(xx[it, ix]), float(tt[it, ix]),
-                             float(n_plus[it, ix]), float(n_minus[it, ix]),
-                             float(r1[it, ix]), float(r2[it, ix])])
         name = f"modes_m{cfg.sequence_index}_n{n}.csv"
         _atomic_write(os.path.join(cfg.out_dir, name),
                       _csv_text(["x", "t", "n_plus", "n_minus", "r1", "r2"],
-                                rows))
+                                [xx, tt, n_plus, n_minus, r1, r2]))
         max_res = float(max(np.nanmax(np.abs(r1)), np.nanmax(np.abs(r2))))
         ok = max_res <= cfg.tolerances["residual"]
         results[f"n{n}"] = {"table": name, "max_mode_residual": max_res,
@@ -420,17 +403,14 @@ def cmd_spectral(cfg: RunConfig) -> int:
         except StepTooLarge as exc:
             raise StepTooLarge(f"k = {k:g}: {exc}") from exc
         conserved = state.conserved()
-        rows = []
-        stride = max(1, state.xs.size // 400)
-        for i in range(0, state.xs.size, stride):
-            rows.append([float(state.xs[i]),
-                         float(state.n1[i].real), float(state.n1[i].imag),
-                         float(state.n2[i].real), float(state.n2[i].imag),
-                         float(conserved[i])])
+        rows = slice(None, None, max(1, state.xs.size // 400))
         name = f"spectral_{_k_label(k)}.csv"
         _atomic_write(os.path.join(cfg.out_dir, name),
                       _csv_text(["x", "re_n1", "im_n1", "re_n2", "im_n2",
-                                 "conserved"], rows))
+                                 "conserved"],
+                                [state.xs[rows], state.n1.real[rows],
+                                 state.n1.imag[rows], state.n2.real[rows],
+                                 state.n2.imag[rows], conserved[rows]]))
         modes = state.lift_modes()
         probe_x = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 7)
         probe_t = (0.0, 0.9)
@@ -452,23 +432,12 @@ def cmd_spectral(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _field_csv_text(sampled: HyperField) -> str:
-    dom = sampled.domain
-    xs = dom.x_nodes()
-    ts = dom.t_nodes()
-    rows = []
-    for it in range(dom.nt):
-        for ix in range(dom.nx):
-            rows.append([float(xs[ix]), float(ts[it]),
-                         float(sampled.samples[it, ix, 0]),
-                         float(sampled.samples[it, ix, 1])])
-    return _csv_text(["x", "t", "re", "im"], rows)
-
-
 def cmd_sequence(cfg: RunConfig) -> int:
     p = _build_potential(cfg)
     seq = zs_sequence(p, _working_domain(cfg))
     dom = cfg.domain
+    xx, tt = np.meshgrid(dom.x_nodes(), dom.t_nodes())
+    t_any = float(dom.t_nodes()[0])
     manifest = {
         "potential": cfg.potential_spec,
         "domain": dom.to_json_dict(),
@@ -477,26 +446,23 @@ def cmd_sequence(cfg: RunConfig) -> int:
     }
     for m in cfg.sequence_indices:
         pair = seq.pair(m)
-        f_name = f"pair_m{m}_F.csv"
-        g_name = f"pair_m{m}_G.csv"
-        _atomic_write(os.path.join(cfg.out_dir, f_name),
-                      _field_csv_text(HyperField.sample(pair.F, dom)))
-        _atomic_write(os.path.join(cfg.out_dir, g_name),
-                      _field_csv_text(HyperField.sample(pair.G, dom)))
+        names = {"F": f"pair_m{m}_F.csv", "G": f"pair_m{m}_G.csv",
+                 "coefficients": f"pair_m{m}_coefficients.csv"}
+        for key, fld in (("F", pair.F), ("G", pair.G)):
+            _atomic_write(os.path.join(cfg.out_dir, names[key]),
+                          _csv_text(["x", "t", "re", "im"],
+                                    [xx, tt, *fld.eval_many(xx, tt)]))
+        # the pairs depend on x only, so one row of values per x serves every t
         co = pair.coefficients()
-        rows = []
-        for t in dom.t_nodes():
-            for x in dom.x_nodes():
-                vals = co.at(HyperbolicNumber(float(x), float(t)))
-                rows.append([float(x), float(t),
-                             vals.a.re, vals.a.im, vals.b.re, vals.b.im,
-                             vals.A.re, vals.A.im, vals.B.re, vals.B.im])
-        c_name = f"pair_m{m}_coefficients.csv"
-        _atomic_write(os.path.join(cfg.out_dir, c_name),
+        per_x = np.array([
+            [part for c in co.at(HyperbolicNumber(float(x), t_any))
+             for part in (c.re, c.im)] for x in dom.x_nodes()])
+        _atomic_write(os.path.join(cfg.out_dir, names["coefficients"]),
                       _csv_text(["x", "t", "a_re", "a_im", "b_re", "b_im",
-                                 "A_re", "A_im", "B_re", "B_im"], rows))
-        manifest["pairs"][str(m)] = {"F": f_name, "G": g_name,
-                                     "coefficients": c_name}
+                                 "A_re", "A_im", "B_re", "B_im"],
+                                [xx, tt] + [np.broadcast_to(col, xx.shape)
+                                            for col in per_x.T]))
+        manifest["pairs"][str(m)] = names
     _atomic_write(os.path.join(cfg.out_dir, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     _write_summary(cfg, "sequence", {"pairs_written": len(manifest["pairs"])},

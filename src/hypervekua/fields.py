@@ -135,12 +135,6 @@ class HyperField:
     # constructors
 
     @staticmethod
-    def from_callable(fn, dz=None, dzbar=None, eval_many=None, domain=None,
-                      fd_step=DEFAULT_FD_STEP) -> "HyperField":
-        return HyperField(fn, dz=dz, dzbar=dzbar, eval_many=eval_many,
-                          domain=domain, fd_step=fd_step)
-
-    @staticmethod
     def from_samples(domain: GridDomain, samples) -> "HyperField":
         return HyperField(None, domain=domain, samples=np.asarray(samples, dtype=float))
 
@@ -183,12 +177,6 @@ class HyperField:
         if self.is_sampled:
             return self._interp(z)
         return self._fn(z)
-
-    def u(self, z) -> float:
-        return self(z).re
-
-    def v(self, z) -> float:
-        return self(z).im
 
     def eval_many(self, xs, ts):
         """Vectorized evaluation, returning (re, im) float arrays."""
@@ -297,16 +285,6 @@ class HyperField:
         gx, gt = self._grad(z, h)
         # 1/2 (f_x - j f_t)
         return HyperbolicNumber(0.5 * (gx.re - gt.im), 0.5 * (gx.im - gt.re))
-
-    def dz_field(self) -> "HyperField":
-        if self._dz is not None:
-            return HyperField(self._dz, eval_many=None, domain=self.domain)
-        return HyperField(lambda z: self.d_z(z), domain=self.domain)
-
-    def dzbar_field(self) -> "HyperField":
-        if self._dzbar is not None:
-            return HyperField(self._dzbar, eval_many=None, domain=self.domain)
-        return HyperField(lambda z: self.d_zbar(z), domain=self.domain)
 
     # ------------------------------------------------------------------
     # algebra with derivative propagation
@@ -472,22 +450,28 @@ def hyperbolic_derivative(
 CSV_HEADER = ["x", "t", "re", "im"]
 
 
+def csv_text(header, columns) -> str:
+    """CSV text of equal-shape column arrays, one row per element.
+
+    Every cell is "%.17g" (nan, inf and -0 as Python prints them) and every
+    line ends with LF.
+    """
+    table = np.stack([np.ravel(c) for c in columns], axis=1)
+    row = ",".join(["%.17g"] * len(columns))
+    lines = [",".join(header)]
+    lines.extend(row % tuple(values) for values in table.tolist())
+    return "\n".join(lines) + "\n"
+
+
 def save_field_csv(field: HyperField, path) -> None:
     if not field.is_sampled:
         raise ValueError("only sampled fields have a canonical CSV form")
     dom = field.domain
-    xs = dom.x_nodes()
-    ts = dom.t_nodes()
+    xx, tt = np.meshgrid(dom.x_nodes(), dom.t_nodes())
+    text = csv_text(CSV_HEADER, [xx, tt, field.samples[:, :, 0],
+                                 field.samples[:, :, 1]])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for it in range(dom.nt):
-            for ix in range(dom.nx):
-                writer.writerow([
-                    f"{xs[ix]:.17g}", f"{ts[it]:.17g}",
-                    f"{field.samples[it, ix, 0]:.17g}",
-                    f"{field.samples[it, ix, 1]:.17g}",
-                ])
+        fh.write(text)
 
 
 def load_field_csv(path) -> HyperField:

@@ -671,50 +671,89 @@ def closed_form_power(p: Potential, n: int, a, z0, z, *,
     """
     if n not in (0, 1, 2):
         raise ValueError("closed forms exist for exponents 0, 1, 2 only")
-    a = hyper(a)
-    z0 = hyper(z0)
-    z = hyper(z)
-    a1, a2 = a.re, a.im
-    alpha = math.cos(p.S(z0.re))
-    beta = math.sin(p.S(z0.re))
+    a, z0, z = hyper(a), hyper(z0), hyper(z)
+    dx = z.re - z0.re
+    if n == 2 and abs(dx) < center_eps:
+        raise CenterSingular(
+            f"|x - x0| = {abs(dx):.3e} < {center_eps:g}: the published "
+            f"exponent-2 formula is indeterminate; use the generic "
+            f"construction here")
     Sv = p.S(z.re)
-    F = HyperbolicNumber(math.cos(Sv), -math.sin(Sv))
-    G = HyperbolicNumber(math.sin(Sv), math.cos(Sv))
+    lv = _family(p).levels(z0.re, z.re, n) if n else None
+    return _published_power(n, a, p.S(z0.re), math.cos(Sv), math.sin(Sv),
+                            lv, z.im - z0.im, dx)
+
+
+def closed_form_grid(p: Potential, n: int, a, z0, xs, ts) -> tuple:
+    """closed_form_power at every node of the grid xs x ts, as (re, im).
+
+    Both are read-only arrays of shape (len(ts), len(xs)).  S and the family
+    are looked up once per x, by the same scalar calls as closed_form_power,
+    so every value agrees with it to the bit.  Exponent 2 gives nan where
+    |x - x0| < CENTER_EPS, where the scalar form raises CenterSingular.
+    """
+    if n not in (0, 1, 2):
+        raise ValueError("closed forms exist for exponents 0, 1, 2 only")
+    a, z0 = hyper(a), hyper(z0)
+    xs = np.asarray(xs, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    keep = (n != 2) | (np.abs(xs - z0.re) >= CENTER_EPS)
+    Sv = [p.S(x) if live else math.nan for x, live in zip(xs, keep)]
+    lv = None
+    if n:
+        fam = _family(p)
+        per_x = [fam.levels(z0.re, float(x), n) if live else None
+                 for x, live in zip(xs, keep)]
+        lv = [{f: np.array([v[k][f] if v else math.nan for v in per_x])
+               for f in IteratedIntegralFamily.FIELDS} for k in range(n + 1)]
+    val = _published_power(n, a, p.S(z0.re),
+                           np.array([math.cos(v) for v in Sv]),
+                           np.array([math.sin(v) for v in Sv]), lv,
+                           ts[:, None] - z0.im,
+                           np.where(keep, xs - z0.re, math.nan))
+    shape = (ts.size, xs.size)
+    return np.broadcast_to(val.re, shape), np.broadcast_to(val.im, shape)
+
+
+def _published_power(n, a, S0, cos_S, sin_S, lv, dt, dx) -> HyperbolicNumber:
+    """The published formula of exponent n from its ingredients.
+
+    S0 = S(x0); cos S, sin S and the family levels lv[k][field] belong to
+    the target x, with dt = t - t0 and dx = x - x0.  Target values are
+    floats or arrays that broadcast, so both forms evaluate one expression.
+    """
+    a1, a2 = a.re, a.im
+    alpha = math.cos(S0)
+    beta = math.sin(S0)
+    F = HyperbolicNumber(cos_S, -sin_S)
+    G = HyperbolicNumber(sin_S, cos_S)
     lam0 = a1 * alpha - a2 * beta
     mu0 = a1 * beta + a2 * alpha
     if n == 0:
         return lam0 * F + mu0 * G
-    fam = _family(p)
-    dt = z.im - z0.im
     if n == 1:
-        lv = fam.levels(z0.re, z.re, 1)
         X1 = lv[1]["X"]
         Y1 = lv[1]["Y"]
         lam1 = a1 * alpha + a2 * beta
         mu1 = -a1 * beta + a2 * alpha
         f_coef = lam1 * X1 + (a1 * beta - a2 * alpha) * Y1 + dt * mu1
         g_coef = mu1 * X1 + lam1 * Y1 + dt * lam1
-        return F * f_coef + G * g_coef
-    dx = z.re - z0.re
-    if abs(dx) < center_eps:
-        raise CenterSingular(
-            f"|x - x0| = {abs(dx):.3e} < {center_eps:g}: the published "
-            f"exponent-2 formula is indeterminate; use the generic "
-            f"construction here")
-    lv = fam.levels(z0.re, z.re, 2)
-    X1, Y1 = lv[1]["X"], lv[1]["Y"]
-    X2, Y2 = lv[2]["X"], lv[2]["Y"]
-    Xt2, Yt2 = lv[2]["Xt"], lv[2]["Yt"]
-    I2, It2 = lv[2]["I"], lv[2]["It"]
-    ratio = dt / dx
-    f_coef = (lam0 * X2 + mu0 * Xt2 + 2.0 * dt * mu0 * X1
-              + (-a1 * beta - a2 * alpha) * Yt2 + lam0 * Y2
-              + 2.0 * dt * (-a1 * alpha + a2 * beta) * Y1
-              + ratio * mu0 * I2 + ratio * (-a1 * alpha + a2 * beta) * It2
-              + 2.0 * dt * dt * lam0)
-    g_coef = (mu0 * X2 + (-a1 * alpha + a2 * beta) * Xt2
-              + 2.0 * dt * lam0 * X1
-              + lam0 * Yt2 + mu0 * Y2 + 2.0 * dt * mu0 * Y1
-              + ratio * lam0 * I2 + ratio * mu0 * It2
-              + 2.0 * dt * dt * mu0)
-    return F * f_coef + G * g_coef
+    else:
+        X1, Y1 = lv[1]["X"], lv[1]["Y"]
+        X2, Y2 = lv[2]["X"], lv[2]["Y"]
+        Xt2, Yt2 = lv[2]["Xt"], lv[2]["Yt"]
+        I2, It2 = lv[2]["I"], lv[2]["It"]
+        ratio = dt / dx
+        f_coef = (lam0 * X2 + mu0 * Xt2 + 2.0 * dt * mu0 * X1
+                  + (-a1 * beta - a2 * alpha) * Yt2 + lam0 * Y2
+                  + 2.0 * dt * (-a1 * alpha + a2 * beta) * Y1
+                  + ratio * mu0 * I2 + ratio * (-a1 * alpha + a2 * beta) * It2
+                  + 2.0 * dt * dt * lam0)
+        g_coef = (mu0 * X2 + (-a1 * alpha + a2 * beta) * Xt2
+                  + 2.0 * dt * lam0 * X1
+                  + lam0 * Yt2 + mu0 * Y2 + 2.0 * dt * mu0 * Y1
+                  + ratio * lam0 * I2 + ratio * mu0 * It2
+                  + 2.0 * dt * dt * mu0)
+    # coefficients enter as f + j 0, as the ring's scalar product does
+    return (F * HyperbolicNumber(f_coef, 0.0)
+            + G * HyperbolicNumber(g_coef, 0.0))

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hypervekua import HyperbolicNumber
 from hypervekua.cli import main
 
 
@@ -168,6 +169,16 @@ def test_sequence_dump(tmp_path):
         s = 1.0 / math.cosh(x)
         assert abs(row[2]) < 1e-12            # a = 0
         assert abs(row[5] + s / 2) < 1e-12    # b = -s j / 2
+    # every coefficient cell is the pair's CharCoefficients.at at its node
+    from hypervekua import parse_potential, zs_sequence
+    seq = zs_sequence(parse_potential("sech:1:1"))
+    for m in (0, 1):
+        co = seq.pair(m).coefficients()
+        header, rows = read_csv(out / f"pair_m{m}_coefficients.csv")
+        assert len(rows) == 25
+        for x, t, *cells in rows:
+            vals = co.at(HyperbolicNumber(x, t))
+            assert cells == [part for c in vals for part in (c.re, c.im)]
     # field CSVs round-trip through the loader
     from hypervekua import load_field_csv
     f = load_field_csv(out / "pair_m0_F.csv")
@@ -250,6 +261,19 @@ def test_bad_config_rejected(tmp_path, capsys):
     pytest.param({"exponents": []}, id="exponents-empty"),
     # both would be written as spectral_k1.csv and summarized as k1
     pytest.param({"k_values": [1.0000001, 1.0000002]}, id="k-values-collide"),
+    # a misspelt key would otherwise fall back to its default silently
+    pytest.param({"domain": {"x_min": 0.0, "x_max": 1.0, "t_min": 0.0,
+                             "t_max": 1.0, "nx": 11, "nt": 11, "n_x": 5}},
+                 id="domain-unknown-key"),
+    pytest.param({"tolerances": {"residul": 1e-3}},
+                 id="tolerances-unknown-key"),
+    # a valid time-like rectangle, so only the flag's type is at fault
+    pytest.param({"domain": {"x_min": 0.5, "x_max": 1.0, "t_min": 2.0,
+                             "t_max": 3.0, "nx": 5, "nt": 5,
+                             "timelike": "no"},
+                  "center": [0.75, 2.5]}, id="timelike-text"),
+    pytest.param({"exponents": True}, id="exponents-boolean"),
+    pytest.param({"exponents": [True]}, id="exponent-boolean"),
 ])
 def test_malformed_config_fields_rejected(tmp_path, capsys, override):
     cfg = write_config(tmp_path, **override)

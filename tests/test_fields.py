@@ -183,6 +183,41 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(g.samples, f.samples)
 
 
+def _old_cell(value: float) -> str:
+    # the per-cell rule the CLI tables were written with before csv_text
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return f"{value:.17g}"
+
+
+def test_csv_text_matches_the_per_cell_rule():
+    from hypervekua.fields import csv_text
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
+              1.0 / 3.0, -2.5e-300, 123456789.125]
+    col = np.array(values)
+    text = csv_text(["a", "b"], [col, -col])
+    want = ["a,b"] + [f"{_old_cell(v)},{_old_cell(-v)}" for v in values]
+    assert text == "\n".join(want) + "\n"
+    assert "-0" in text.splitlines()[4]
+
+
+def test_csv_text_rows_follow_c_order_of_the_columns():
+    from hypervekua.fields import csv_text
+    xx, tt = np.meshgrid([0.0, 1.0, 2.0], [5.0, 6.0])
+    lines = csv_text(["x", "t"], [xx, tt]).splitlines()
+    assert lines[1:] == ["0,5", "1,5", "2,5", "0,6", "1,6", "2,6"]
+
+
+def test_save_field_csv_writes_lf_line_ends(tmp_path):
+    f = make_sampled_square(nx=4, nt=3)
+    path = tmp_path / "field.csv"
+    save_field_csv(f, path)
+    data = path.read_bytes()
+    assert b"\r" not in data
+    assert data.count(b"\n") == 1 + 4 * 3
+    assert data.startswith(b"x,t,re,im\n")
+
+
 def test_json_round_trip(tmp_path):
     f = make_sampled_square(nx=5, nt=9)
     path = tmp_path / "field.json"

@@ -383,6 +383,41 @@ def test_closed_form_exponent_two_zero_potential_structure():
     assert abs(got - want_published) < 1e-12
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_closed_form_grid_matches_scalar_to_the_bit(n):
+    from hypervekua import closed_form_grid
+    # separate potentials, so the grid and the scalar form share no cache
+    grid_p = Potential.sech(1.3, 0.7, x_range=(-1.5, 1.5))
+    scalar_p = Potential.sech(1.3, 0.7, x_range=(-1.5, 1.5))
+    a, z0 = H(-0.5, 1.5), H(0.2, 0.1)
+    xs = np.linspace(-0.8, 0.8, 9)      # holds x0 = 0.2
+    ts = np.linspace(-0.6, 0.8, 6)
+    re, im = closed_form_grid(grid_p, n, a, z0, xs, ts)
+    assert re.shape == im.shape == (ts.size, xs.size)
+    singular = np.zeros(re.shape, dtype=bool)
+    want = np.zeros(re.shape + (2,))
+    for it, t in enumerate(ts):
+        for ix, x in enumerate(xs):
+            try:
+                v = closed_form_power(scalar_p, n, a, z0, H(x, t))
+            except CenterSingular:
+                singular[it, ix] = True
+                continue
+            want[it, ix] = v.re, v.im
+    assert singular.any() == (n == 2)
+    assert np.array_equal(np.isnan(re), singular)
+    assert np.array_equal(np.isnan(im), singular)
+    got = np.stack([re, im], axis=-1)[~singular]
+    assert got.tobytes() == want[~singular].tobytes()
+
+
+def test_closed_form_grid_rejects_exponents_without_a_closed_form():
+    from hypervekua import closed_form_grid
+    with pytest.raises(ValueError):
+        closed_form_grid(Potential.zero(), 3, H(1, 0), H(0, 0),
+                         np.linspace(0, 1, 3), np.linspace(0, 1, 3))
+
+
 def test_rebase_drops_cached_integrals():
     s = lambda x: 1.0 / math.cosh(x)
     a, z0, z = H(1, 0), H(0, 0), H(0.6, 0.4)
